@@ -54,7 +54,7 @@ def problem_64x8():
 # the vectorized kernels must match bit for bit.
 # ----------------------------------------------------------------------
 def naive_assembly(problem):
-    """The legacy nested-loop constraint assembly of ``_lp_relaxation``.
+    """The legacy nested-loop constraint assembly of the FSteal MILP.
 
     Returns (c, a_ub, a_eq, b_eq, allowed, num_x) with the same
     variable ordering the vectorized assembler uses.

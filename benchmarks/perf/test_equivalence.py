@@ -11,15 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from conftest import naive_assembly, naive_price_chunks, naive_tree_predict
 from repro.bench import perfharness
-from repro.core.milp import (
-    HiGHSSolver,
-    _assemble_constraints,
-    make_solver,
-)
+from repro.core.milp import HiGHSSolver, _assemble_constraints
 
 
 @pytest.mark.parametrize("n_frag,n_work,seed", [
@@ -37,41 +33,8 @@ def test_dense_assembly_bit_identical(n_frag, n_work, seed):
     assert np.array_equal(system.b_eq, b_eq)
 
 
-def test_sparse_assembly_matches_dense(problem_64x8):
-    dense = _assemble_constraints(problem_64x8)
-    sparse_sys = _assemble_constraints(problem_64x8, use_sparse=True)
-    assert np.array_equal(sparse_sys.a_ub.toarray(), dense.a_ub)
-    assert np.array_equal(sparse_sys.a_eq.toarray(), dense.a_eq)
-    assert np.array_equal(sparse_sys.c, dense.c)
-    assert sparse_sys.scale == dense.scale
-
-
-def test_lp_solution_matches_naive_matrices(problem_64x8):
-    """linprog over naive matrices == linprog inside ``_lp_relaxation``."""
-    c, a_ub, a_eq, b_eq, allowed, num_x = naive_assembly(problem_64x8)
-    b_ub = np.zeros(a_ub.shape[0])
-    reference = linprog(
-        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-        bounds=(0, None), method="highs",
-    )
-    assert reference.success
-    solver = make_solver("lp")
-    solution = solver.solve(problem_64x8)
-    problem_64x8.validate_assignment(solution.assignment)
-    # The LP inputs are bit-identical, so the relaxation value the
-    # rounding starts from must be too.
-    system = _assemble_constraints(problem_64x8)
-    vectorized = linprog(
-        system.c, A_ub=system.a_ub, b_ub=system.b_ub,
-        A_eq=system.a_eq, b_eq=system.b_eq,
-        bounds=(0, None), method="highs",
-    )
-    assert vectorized.fun == reference.fun
-    assert np.array_equal(vectorized.x, reference.x)
-
-
 def test_highs_objective_matches_naive_matrices(problem_64x8):
-    """The sparse-assembled MILP reproduces the dense formulation."""
+    """HiGHS on the vectorized assembly reproduces the naive matrices."""
     c, a_ub, a_eq, b_eq, allowed, num_x = naive_assembly(problem_64x8)
     integrality = np.ones(num_x + 1)
     integrality[-1] = 0.0

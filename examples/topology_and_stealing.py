@@ -67,12 +67,11 @@ def main() -> None:
     static = np.diag(workloads)
     print(f"\nno stealing        : makespan "
           f"{problem.objective(static) * 1e3:.3f} ms")
-    for backend in ("greedy", "lp", "highs"):
+    for backend in ("greedy", "highs"):
         solution = make_solver(backend).solve(problem)
         print(f"solver {backend:7s}     : makespan "
               f"{solution.objective * 1e3:.3f} ms")
 
-    solution = make_solver("lp").solve(problem)
     moved = int(
         solution.assignment.sum() - np.trace(solution.assignment)
     )

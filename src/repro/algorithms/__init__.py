@@ -10,6 +10,7 @@ from repro.algorithms.wcc import WCC
 from repro.algorithms.pagerank import DeltaPageRank, PageRank
 from repro.algorithms.delta_stepping import DeltaSteppingSSSP
 from repro.algorithms.kcore import KCore
+from repro.errors import EngineError
 
 #: Registry keyed by the short names used throughout the benchmarks.
 ALGORITHMS: Dict[str, Type[GASAlgorithm]] = {
@@ -28,7 +29,7 @@ def make_algorithm(name: str) -> GASAlgorithm:
     try:
         return ALGORITHMS[name]()
     except KeyError:
-        raise KeyError(
+        raise EngineError(
             f"unknown algorithm {name!r}; known: {sorted(ALGORITHMS)}"
         ) from None
 

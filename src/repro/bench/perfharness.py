@@ -5,7 +5,7 @@ path (Table IV charges its latency every superstep), so this module
 pins the host-side hot paths with repeatable microbenchmarks:
 
 * FSteal solver solve latency, by backend and problem size,
-* LP/MILP constraint assembly in isolation,
+* MILP constraint assembly in isolation,
 * the engine's vectorized plan-pricing path (8 GPUs x 64 fragments),
 * one full BFS / PageRank engine iteration,
 * cost-model predict throughput.
@@ -175,8 +175,6 @@ def _random_problem(n_frag: int, n_work: int, seed: int = 0):
 def _register_solver_cases() -> None:
     sizes = {
         "greedy": ((8, 8), (64, 8)),
-        "lp": ((8, 8), (64, 8)),
-        "bnb": ((8, 8),),
         "highs": ((8, 8), (16, 8)),
     }
     for backend, shapes in sizes.items():
@@ -206,14 +204,6 @@ def _assembly_dense():
 
     problem = _random_problem(64, 8)
     return lambda: _assemble_constraints(problem)
-
-
-@bench_case("assembly.sparse.64x8", fragments=64, workers=8)
-def _assembly_sparse():
-    from repro.core.milp import _assemble_constraints
-
-    problem = _random_problem(64, 8)
-    return lambda: _assemble_constraints(problem, use_sparse=True)
 
 
 def _pricing_fixture(n_frag: int = 64, n_gpus: int = 8):

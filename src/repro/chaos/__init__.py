@@ -10,7 +10,7 @@ Public surface:
   solver timeouts and flaky transfers, all as pure functions of the
   scenario seed.
 * :class:`~repro.chaos.fallback.FallbackSolver` — the
-  HiGHS -> LP -> greedy degradation chain.
+  primary -> HiGHS -> greedy degradation chain.
 
 See ``docs/robustness.md`` for the fault model and
 ``examples/chaos_drill.py`` for an end-to-end walkthrough.

@@ -1,10 +1,11 @@
-"""Solver fallback chain: HiGHS -> LP -> greedy under fault injection.
+"""Solver fallback chain under fault injection.
 
 Wraps the configured FSteal backend so a solver timeout (injected by a
 :class:`~repro.chaos.controller.ChaosController`) or a genuine
-:class:`~repro.errors.SolverError` degrades to the next cheaper
-backend instead of aborting the run. :class:`~repro.errors.SolverError`
-is surfaced only when every backend in the chain has failed.
+:class:`~repro.errors.SolverError` degrades to the next backend in
+:data:`FALLBACK_CHAIN` instead of aborting the run.
+:class:`~repro.errors.SolverError` is surfaced only when every backend
+in the chain has failed.
 
 The wrapper is only installed when a chaos controller is attached to
 the run; fault-free runs keep calling the configured solver directly,
@@ -28,10 +29,10 @@ from repro.errors import SolverError
 
 __all__ = ["FallbackSolver", "FALLBACK_CHAIN"]
 
-#: Backends appended after the primary, cheapest last. The greedy
-#: heuristic needs no LP machinery at all, so the chain always has a
-#: backend that cannot time out in practice.
-FALLBACK_CHAIN = ("lp", "greedy")
+#: Backends appended after the primary (skipping the primary itself):
+#: a greedy primary falls back to HiGHS, any other primary ends in
+#: greedy, which needs no LP machinery and cannot time out in practice.
+FALLBACK_CHAIN = ("highs", "greedy")
 
 
 class FallbackSolver(FStealSolver):
@@ -48,18 +49,13 @@ class FallbackSolver(FStealSolver):
         self,
         primary: FStealSolver,
         controller: Optional[ChaosController] = None,
-        fallbacks: Optional[List[FStealSolver]] = None,
     ) -> None:
         self.name = primary.name
         self._controller = controller
-        chain: List[FStealSolver] = [primary]
-        if fallbacks is None:
-            fallbacks = [make_solver(name) for name in FALLBACK_CHAIN
-                         if name != primary.name]
-        for solver in fallbacks:
-            if all(solver.name != existing.name for existing in chain):
-                chain.append(solver)
-        self._chain = chain
+        self._chain: List[FStealSolver] = [primary] + [
+            make_solver(name) for name in FALLBACK_CHAIN
+            if name != primary.name
+        ]
 
     @property
     def chain(self) -> List[FStealSolver]:

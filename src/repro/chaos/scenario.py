@@ -50,7 +50,7 @@ Fault kinds
 ``solver_timeout``
     The next ``count`` FSteal solves by ``solver`` (or by whichever
     backend is primary when ``solver`` is null) time out, exercising
-    the HiGHS -> LP -> greedy fallback chain.
+    the primary -> HiGHS -> greedy fallback chain.
 """
 
 from __future__ import annotations

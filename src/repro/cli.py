@@ -37,7 +37,7 @@ from repro import __version__
 from repro.algorithms import ALGORITHMS
 from repro.bench import Cell, run_cell
 from repro.bench.workloads import ENGINE_NAMES
-from repro.core import GumConfig, pretrained_default
+from repro.core import SOLVERS, GumConfig, pretrained_default
 from repro.errors import ReproError
 from repro.graph import datasets
 from repro.graph.properties import degree_summary, pseudo_diameter
@@ -1044,7 +1044,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--partitioner", default="random",
                        choices=sorted(PARTITIONERS))
         p.add_argument("--solver", default="greedy",
-                       choices=("greedy", "lp", "bnb", "highs"))
+                       choices=sorted(SOLVERS))
         p.add_argument(
             "--cost-model", default="default", metavar="NAME|PATH",
             help="cost model: 'default' (shipped polynomial), "

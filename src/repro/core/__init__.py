@@ -8,14 +8,11 @@ from repro.core.decision_cache import (
     repair_assignment,
 )
 from repro.core.milp import (
-    AssemblyWorkspace,
-    BranchAndBoundSolver,
     FStealProblem,
     FStealSolution,
     FStealSolver,
     GreedySolver,
     HiGHSSolver,
-    LPRoundingSolver,
     SOLVERS,
     make_solver,
 )
@@ -61,12 +58,9 @@ __all__ = [
     "FStealSolution",
     "FStealSolver",
     "GreedySolver",
-    "LPRoundingSolver",
-    "BranchAndBoundSolver",
     "HiGHSSolver",
     "SOLVERS",
     "make_solver",
-    "AssemblyWorkspace",
     "PlanCache",
     "LruDict",
     "plan_fingerprint",

@@ -74,7 +74,8 @@ class GumConfig:
     fsteal / osteal / hub_cache:
         Feature switches (the Exp-5 incremental axes).
     solver:
-        FSteal solver name (``greedy``/``lp``/``bnb``/``highs``) or an
+        FSteal solver name — ``greedy`` (the hot-path default) or
+        ``highs`` (the exact ``scipy.optimize.milp`` reference) — or an
         instantiated solver.
     cost_model:
         ``"default"`` (pretrained degree-4 polynomial), ``"oracle"``

@@ -8,32 +8,29 @@ The optimization problem (paper Equation 1)::
 
 ``c_ij`` is the per-edge cost for worker ``j`` to process edges homed on
 fragment ``i``; ``l_i`` is fragment ``i``'s active edge count. The paper
-solves this as a MILP with SCIP; we provide four interchangeable
-backends (also an ablation axis — ``benchmarks/test_ablation_solvers``):
+solves this as a MILP with SCIP; we keep two backends (also an ablation
+axis — ``benchmarks/test_ablation_solvers``):
 
 * :class:`GreedySolver` — cheapest-home seeding plus straggler
   rebalancing. No LP machinery; the default for the per-iteration hot
   path (within ~15% of optimal on random instances, sub-millisecond).
-* :class:`LPRoundingSolver` — exact LP relaxation (HiGHS via
-  ``scipy.linprog``) + largest-remainder rounding.
-* :class:`BranchAndBoundSolver` — our own best-first branch-and-bound
-  over LP relaxations; exact for the integral program.
-* :class:`HiGHSSolver` — ``scipy.optimize.milp`` (the SCIP stand-in).
+* :class:`HiGHSSolver` — ``scipy.optimize.milp`` over the dense
+  epigraph formulation (the SCIP stand-in) and the exact optimum
+  oracle the tests and the ablation compare greedy against.
 
 Edge counts are large (thousands) relative to the integrality gap, so
-all four land within a rounding error of each other; they differ in
-decision latency, which is what Table IV charges.
+the two differ mainly in decision latency, which is what Table IV
+charges.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, Optional, Type, Union
+from typing import Dict, Optional, Type
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.errors import SolverError
 
@@ -41,10 +38,7 @@ __all__ = [
     "FStealProblem",
     "FStealSolution",
     "FStealSolver",
-    "AssemblyWorkspace",
     "GreedySolver",
-    "LPRoundingSolver",
-    "BranchAndBoundSolver",
     "HiGHSSolver",
     "SOLVERS",
     "make_solver",
@@ -188,6 +182,10 @@ def _no_work_solution(problem: FStealProblem, name: str) -> FStealSolution:
 
 
 # ----------------------------------------------------------------------
+#: Cap on straggler-rebalancing moves per greedy refinement pass.
+_MAX_REFINE_MOVES = 256
+
+
 class GreedySolver(FStealSolver):
     """Fast two-phase heuristic for the min-max assignment.
 
@@ -208,9 +206,6 @@ class GreedySolver(FStealSolver):
     """
 
     name = "greedy"
-
-    def __init__(self, refine_steps: int = 256) -> None:
-        self._refine_steps = int(refine_steps)
 
     def solve(
         self,
@@ -272,7 +267,7 @@ class GreedySolver(FStealSolver):
     ) -> None:
         """Shift edges from the straggler to cheaper workers, in place."""
         costs = problem.costs
-        for __ in range(self._refine_steps):
+        for __ in range(_MAX_REFINE_MOVES):
             straggler = int(np.argmax(finish))
             peak = finish[straggler]
             if peak <= 0:
@@ -317,9 +312,8 @@ def _cost_scale(costs: np.ndarray) -> float:
     """Normalization factor for cost coefficients.
 
     Per-edge costs are ~1e-9 seconds; fed raw into HiGHS they sink
-    below its feasibility tolerances and get presolved away. All
-    LP/MILP backends divide costs by this scale and multiply the
-    epigraph value back.
+    below its feasibility tolerances and get presolved away. The MILP
+    divides costs by this scale and multiplies the epigraph value back.
     """
     finite = costs[np.isfinite(costs)]
     if finite.size == 0 or finite.max() <= 0:
@@ -329,7 +323,7 @@ def _cost_scale(costs: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class _ConstraintSystem:
-    """Assembled epigraph formulation shared by all LP/MILP backends.
+    """Assembled dense epigraph formulation of the MILP.
 
     Variables are one ``x_ij`` per allowed (fragment, worker) pair in
     row-major order, plus the epigraph variable ``z`` last. Costs are
@@ -338,52 +332,20 @@ class _ConstraintSystem:
     """
 
     c: np.ndarray
-    a_ub: Union[np.ndarray, sparse.csr_array]
+    a_ub: np.ndarray
     b_ub: np.ndarray
-    a_eq: Union[np.ndarray, sparse.csr_array]
+    a_eq: np.ndarray
     b_eq: np.ndarray
     allowed: np.ndarray
     num_x: int
     scale: float
 
 
-class AssemblyWorkspace:
-    """Preallocated dense buffers for repeated constraint assembly.
-
-    The scheduler re-solves near-identical instances every iteration;
-    when the fragments×workers shape is unchanged the dense assembly
-    path can reuse its ``c``/``A_ub``/``A_eq`` arrays instead of
-    allocating fresh ones. Buffers are re-zeroed before use, so the
-    assembled system is bit-identical to a cold allocation.
-    """
-
-    def __init__(self) -> None:
-        self._buffers: Dict[tuple, np.ndarray] = {}
-
-    def zeros(self, tag: str, shape: tuple) -> np.ndarray:
-        """A zeroed float64 array of ``shape``, reused per (tag, shape)."""
-        buf = self._buffers.get((tag, shape))
-        if buf is None:
-            buf = np.zeros(shape)
-            self._buffers[(tag, shape)] = buf
-        else:
-            buf.fill(0.0)
-        return buf
-
-
-def _assemble_constraints(
-    problem: FStealProblem,
-    use_sparse: bool = False,
-    workspace: Optional[AssemblyWorkspace] = None,
-) -> _ConstraintSystem:
-    """Build the shared constraint system, fully vectorized.
+def _assemble_constraints(problem: FStealProblem) -> _ConstraintSystem:
+    """Build the dense constraint system, fully vectorized.
 
     Inequality rows (one per worker ``j``): ``sum_i c_ij x_ij - z <= 0``.
     Equality rows (one per fragment with work): ``sum_j x_ij = l_i``.
-    ``use_sparse`` emits ``scipy.sparse`` matrices — the constraint
-    matrix has only one x-column entry per allowed pair, so density
-    falls off linearly with problem size. ``workspace`` lets the dense
-    path reuse preallocated buffers across same-shape instances.
     """
     scale = _cost_scale(problem.costs)
     costs, workloads = problem.costs / scale, problem.workloads
@@ -394,10 +356,7 @@ def _assemble_constraints(
     frag_idx, work_idx = np.nonzero(allowed)
     num_x = int(frag_idx.size)
     num_vars = num_x + 1  # + z
-    if workspace is not None and not use_sparse:
-        c = workspace.zeros("c", (num_vars,))
-    else:
-        c = np.zeros(num_vars)
+    c = np.zeros(num_vars)
     c[-1] = 1.0
     b_ub = np.zeros(n_work)
     rows = np.flatnonzero(workloads > 0)
@@ -405,192 +364,15 @@ def _assemble_constraints(
     row_of_fragment[rows] = np.arange(rows.size)
     b_eq = workloads[rows].astype(np.float64)
     var_ids = np.arange(num_x)
-    coefficients = costs[frag_idx, work_idx]
-    if use_sparse:
-        a_ub = sparse.csr_array(
-            (
-                np.concatenate([coefficients, -np.ones(n_work)]),
-                (
-                    np.concatenate([work_idx, np.arange(n_work)]),
-                    np.concatenate([var_ids, np.full(n_work, num_x)]),
-                ),
-            ),
-            shape=(n_work, num_vars),
-        )
-        a_eq = sparse.csr_array(
-            (np.ones(num_x), (row_of_fragment[frag_idx], var_ids)),
-            shape=(rows.size, num_vars),
-        )
-    else:
-        if workspace is not None:
-            a_ub = workspace.zeros("a_ub", (n_work, num_vars))
-            a_eq = workspace.zeros("a_eq", (rows.size, num_vars))
-        else:
-            a_ub = np.zeros((n_work, num_vars))
-            a_eq = np.zeros((rows.size, num_vars))
-        a_ub[work_idx, var_ids] = coefficients
-        a_ub[:, -1] = -1.0
-        a_eq[row_of_fragment[frag_idx], var_ids] = 1.0
+    a_ub = np.zeros((n_work, num_vars))
+    a_ub[work_idx, var_ids] = costs[frag_idx, work_idx]
+    a_ub[:, -1] = -1.0
+    a_eq = np.zeros((rows.size, num_vars))
+    a_eq[row_of_fragment[frag_idx], var_ids] = 1.0
     return _ConstraintSystem(
         c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
         allowed=allowed, num_x=num_x, scale=scale,
     )
-
-
-def _lp_relaxation(
-    problem: FStealProblem,
-    workspace: Optional[AssemblyWorkspace] = None,
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """Solve the LP relaxation; return (x matrix, z, variable mask).
-
-    Variables: one per allowed (i, j) pair plus the epigraph variable z.
-    """
-    system = _assemble_constraints(problem, workspace=workspace)
-    if system.num_x == 0:
-        return (
-            np.zeros((problem.num_fragments, problem.num_workers)),
-            0.0,
-            system.allowed,
-        )
-    res = linprog(
-        system.c, A_ub=system.a_ub, b_ub=system.b_ub,
-        A_eq=system.a_eq, b_eq=system.b_eq,
-        bounds=(0, None), method="highs",
-    )
-    if not res.success:
-        raise SolverError(f"LP relaxation failed: {res.message}")
-    x = np.zeros((problem.num_fragments, problem.num_workers))
-    x[system.allowed] = res.x[: system.num_x]
-    return x, float(res.x[-1]) * system.scale, system.allowed
-
-
-def _round_lp(problem: FStealProblem, fractional: np.ndarray) -> np.ndarray:
-    """Per-fragment largest-remainder rounding of an LP solution."""
-    assignment = np.floor(fractional).astype(np.int64)
-    for i in range(problem.num_fragments):
-        deficit = int(problem.workloads[i] - assignment[i].sum())
-        if deficit > 0:
-            remainders = fractional[i] - assignment[i]
-            remainders[~np.isfinite(problem.costs[i])] = -1.0
-            top = np.argsort(-remainders)[:deficit]
-            assignment[i, top] += 1
-        elif deficit < 0:
-            # repay one unit per donor per pass (most over-assigned
-            # first) until the row conserves its workload — a single
-            # pass under-repays whenever -deficit > len(donors)
-            need = -deficit
-            while need > 0:
-                donors = np.flatnonzero(assignment[i] > 0)
-                if donors.size == 0:
-                    raise SolverError(
-                        "rounding cannot repay over-assignment "
-                        f"for fragment {i}"
-                    )
-                order = np.argsort(
-                    fractional[i, donors] - assignment[i, donors]
-                )
-                for idx in order[:need]:
-                    assignment[i, donors[idx]] -= 1
-                need = int(assignment[i].sum() - problem.workloads[i])
-    return assignment
-
-
-class LPRoundingSolver(FStealSolver):
-    """Exact LP relaxation + largest-remainder rounding.
-
-    The LP relaxation is exact, so a warm start cannot improve on it —
-    it is accepted for interface uniformity and ignored.
-    """
-
-    name = "lp"
-
-    def __init__(self) -> None:
-        self._workspace = AssemblyWorkspace()
-
-    def solve(
-        self,
-        problem: FStealProblem,
-        warm_start: Optional[np.ndarray] = None,
-    ) -> FStealSolution:
-        """Return a feasible integral solution."""
-        del warm_start  # exact relaxation: nothing to seed
-        if problem.workloads.sum() == 0:
-            return _no_work_solution(problem, self.name)
-        fractional, __, __ = _lp_relaxation(
-            problem, workspace=self._workspace
-        )
-        return self._finish(problem, _round_lp(problem, fractional))
-
-
-class BranchAndBoundSolver(FStealSolver):
-    """Best-first branch & bound over LP relaxations.
-
-    Branches on the most fractional variable, bounding with the LP
-    value. Edge workloads are huge relative to unit branching, so the
-    incumbent from rounding is almost always optimal and the search
-    terminates after a handful of nodes; ``max_nodes`` caps pathological
-    cases (falling back to the best incumbent).
-    """
-
-    name = "bnb"
-
-    def __init__(self, max_nodes: int = 50, tolerance: float = 1e-9) -> None:
-        self._max_nodes = int(max_nodes)
-        self._tol = float(tolerance)
-        self._workspace = AssemblyWorkspace()
-
-    def solve(
-        self,
-        problem: FStealProblem,
-        warm_start: Optional[np.ndarray] = None,
-    ) -> FStealSolution:
-        """Return a feasible integral solution."""
-        if problem.workloads.sum() == 0:
-            return _no_work_solution(problem, self.name)
-        fractional, lp_value, __ = _lp_relaxation(
-            problem, workspace=self._workspace
-        )
-        incumbent = _round_lp(problem, fractional)
-        incumbent_value = problem.objective(incumbent)
-        # Integrality test: if the LP solution is already integral (up
-        # to tolerance) we are done; otherwise bound the gap. The gap
-        # from rounding at most one edge per (fragment, worker) pair is
-        # bounded by the max cost entry, which is tiny relative to z —
-        # certify optimality within that bound, else do a short dive.
-        frac_part = np.abs(fractional - np.rint(fractional))
-        if frac_part.max() <= self._tol:
-            return self._finish(problem, np.rint(fractional))
-        # A validated warm start whose objective beats the rounding
-        # incumbent becomes the initial incumbent: a tighter upper
-        # bound lets the optimality certificate fire without diving.
-        warm_won = False
-        warm = self._usable_warm_start(problem, warm_start)
-        if warm is not None:
-            warm_value = problem.objective(warm)
-            if warm_value < incumbent_value:
-                incumbent, incumbent_value = warm, warm_value
-                warm_won = True
-        finite_costs = problem.costs[np.isfinite(problem.costs)]
-        unit_gap = float(finite_costs.max()) if finite_costs.size else 0.0
-        nodes = 0
-        best = (incumbent_value, incumbent)
-        # Dive: repeatedly re-solve with the most fractional variable
-        # nudged to each neighbor integer via workload perturbation.
-        while (
-            best[0] > lp_value + unit_gap * problem.num_fragments
-            and nodes < self._max_nodes
-        ):
-            nodes += 1
-            jitter = _round_lp(problem, fractional + 0.5 / (nodes + 1))
-            value = problem.objective(jitter)
-            if value < best[0]:
-                best = (value, jitter)
-                warm_won = False
-            else:
-                break
-        return self._finish(
-            problem, best[1], warm_started=warm_won and best[1] is incumbent
-        )
 
 
 class HiGHSSolver(FStealSolver):
@@ -611,7 +393,7 @@ class HiGHSSolver(FStealSolver):
         del warm_start  # scipy.optimize.milp cannot inject incumbents
         if problem.workloads.sum() == 0:
             return _no_work_solution(problem, self.name)
-        system = _assemble_constraints(problem, use_sparse=True)
+        system = _assemble_constraints(problem)
         constraints = [
             LinearConstraint(system.a_ub, -np.inf, system.b_ub),
             LinearConstraint(system.a_eq, system.b_eq, system.b_eq),
@@ -634,13 +416,11 @@ class HiGHSSolver(FStealSolver):
 #: Registry for config-by-name.
 SOLVERS: Dict[str, Type[FStealSolver]] = {
     "greedy": GreedySolver,
-    "lp": LPRoundingSolver,
-    "bnb": BranchAndBoundSolver,
     "highs": HiGHSSolver,
 }
 
 
-def make_solver(name: str, **kwargs) -> FStealSolver:
+def make_solver(name: str) -> FStealSolver:
     """Instantiate a registered solver by name."""
     try:
         solver_cls = SOLVERS[name]
@@ -648,4 +428,4 @@ def make_solver(name: str, **kwargs) -> FStealSolver:
         raise SolverError(
             f"unknown solver {name!r}; known: {sorted(SOLVERS)}"
         ) from None
-    return solver_cls(**kwargs)
+    return solver_cls()

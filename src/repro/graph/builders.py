@@ -66,6 +66,8 @@ def from_edge_arrays(
         weights = np.asarray(weights, dtype=np.float64).ravel()
         if weights.shape != src.shape:
             raise GraphError("weights must be parallel to the edge arrays")
+        if np.isnan(weights).any():
+            raise GraphError("weights must not contain NaN")
     if src.size:
         lo = min(int(src.min()), int(dst.min()))
         hi = max(int(src.max()), int(dst.max()))

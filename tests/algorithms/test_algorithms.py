@@ -133,12 +133,18 @@ def test_pr_param_validation(tiny_graph):
         make_algorithm("pr").init(tiny_graph, alpha=0.9)
 
 
-def test_registry():
+def test_registry(tiny_graph):
+    import repro
+    from repro.errors import ReproError
+
     assert set(ALGORITHMS) == {
         "bfs", "sssp", "wcc", "pr", "dpr", "dsssp", "kcore",
     }
-    with pytest.raises(KeyError, match="unknown algorithm"):
+    with pytest.raises(EngineError, match="unknown algorithm"):
         make_algorithm("apsp")
+    # library callers get the typed error the CLI maps to exit code 2
+    with pytest.raises(ReproError, match="unknown algorithm 'foo'"):
+        repro.run(tiny_graph, "foo")
 
 
 def test_local_step_restricted_to_mask(tiny_graph):

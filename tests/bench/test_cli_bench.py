@@ -36,13 +36,13 @@ def test_bench_filter_isolates_cases(tmp_path, capsys):
 def test_bench_filter_matches_substring_across_cases(tmp_path, capsys):
     out = tmp_path / "bench.json"
     code = main([
-        "bench", "--filter", "assembly", "--repeats", "1",
+        "bench", "--filter", "solver.greedy", "--repeats", "1",
         "--no-compare", "--out", str(out), "--json",
     ])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert set(report["benchmarks"]) == {
-        "assembly.dense.64x8", "assembly.sparse.64x8",
+        "solver.greedy.8x8", "solver.greedy.64x8",
     }
 
 

@@ -39,14 +39,18 @@ class ExplodingSolver:
 # Chain construction
 # ----------------------------------------------------------------------
 def test_chain_skips_the_duplicate_backend():
-    fallback = FallbackSolver(make_solver("lp"))
-    assert [s.name for s in fallback.chain] == ["lp", "greedy"]
-    assert fallback.name == "lp"  # reports as the primary
+    fallback = FallbackSolver(make_solver("highs"))
+    assert [s.name for s in fallback.chain] == ["highs", "greedy"]
+    assert fallback.name == "highs"  # reports as the primary
+    greedy_first = FallbackSolver(make_solver("greedy"))
+    assert [s.name for s in greedy_first.chain] == ["greedy", "highs"]
 
 
 def test_chain_appends_both_fallbacks_for_other_primaries():
-    fallback = FallbackSolver(make_solver("bnb"))
-    assert [s.name for s in fallback.chain] == ["bnb", "lp", "greedy"]
+    fallback = FallbackSolver(ExplodingSolver())
+    assert [s.name for s in fallback.chain] == [
+        "exploding", "highs", "greedy",
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -62,8 +66,8 @@ def test_without_faults_primary_answers():
 
 
 def test_injected_timeout_falls_through_to_the_next_backend():
-    controller = controller_with_tokens(1, solver="lp")
-    fallback = FallbackSolver(make_solver("lp"), controller)
+    controller = controller_with_tokens(1, solver="highs")
+    fallback = FallbackSolver(make_solver("highs"), controller)
     solution = fallback.solve(problem())
     assert solution.solver == "greedy"
     prob = problem()
@@ -77,10 +81,10 @@ def test_genuine_solver_error_also_degrades():
     controller = ChaosController()
     controller.begin_run(dgx1(4))
     fallback = FallbackSolver(ExplodingSolver(), controller)
-    assert [s.name for s in fallback.chain] == ["exploding", "lp",
+    assert [s.name for s in fallback.chain] == ["exploding", "highs",
                                                 "greedy"]
     solution = fallback.solve(problem())
-    assert solution.solver in ("lp", "greedy")
+    assert solution.solver == "highs"
     assert controller.stats()["solver_fallbacks"] == 1
     assert controller.stats()["solver_timeouts"] == 0
 
@@ -88,17 +92,17 @@ def test_genuine_solver_error_also_degrades():
 def test_exhausted_chain_raises_solver_error():
     # a wildcard token bucket deep enough to kill every backend
     controller = controller_with_tokens(5, solver=None)
-    fallback = FallbackSolver(make_solver("lp"), controller)
+    fallback = FallbackSolver(make_solver("highs"), controller)
     with pytest.raises(SolverError, match="all solver backends failed"):
         fallback.solve(problem())
     # still catchable at the API boundary
     controller = controller_with_tokens(5, solver=None)
     with pytest.raises(ReproError):
-        FallbackSolver(make_solver("lp"), controller).solve(problem())
+        FallbackSolver(make_solver("highs"), controller).solve(problem())
 
 
 def test_error_message_names_every_failed_backend():
     controller = controller_with_tokens(5, solver=None)
-    fallback = FallbackSolver(make_solver("lp"), controller)
-    with pytest.raises(SolverError, match="lp.*greedy"):
+    fallback = FallbackSolver(make_solver("highs"), controller)
+    with pytest.raises(SolverError, match="highs.*greedy"):
         fallback.solve(problem())

@@ -18,7 +18,7 @@ from repro.core.decision_cache import (
     quantize,
     repair_assignment,
 )
-from repro.core.milp import FStealProblem, make_solver
+from repro.core.milp import SOLVERS, FStealProblem, make_solver
 from repro.errors import SolverError
 from repro.hardware import dgx1
 from repro.partition import random_partition, segmented_partition
@@ -238,7 +238,7 @@ def test_plan_cache_lru_bound_evicts():
 # ----------------------------------------------------------------------
 # Warm-started solvers
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", ["greedy", "lp", "bnb", "highs"])
+@pytest.mark.parametrize("name", sorted(SOLVERS))
 def test_warm_start_never_degrades_solution(name):
     problem = _problem(n_frag=8, n_work=4, seed=3)
     solver = make_solver(name)
@@ -248,7 +248,7 @@ def test_warm_start_never_degrades_solution(name):
     assert warm.objective <= cold.objective + 1e-15
 
 
-@pytest.mark.parametrize("name", ["greedy", "lp", "bnb", "highs"])
+@pytest.mark.parametrize("name", sorted(SOLVERS))
 def test_infeasible_warm_start_is_ignored(name):
     problem = _problem(n_frag=8, n_work=4, seed=3)
     solver = make_solver(name)

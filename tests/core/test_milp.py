@@ -100,7 +100,7 @@ def test_stealing_beats_static_on_skewed_load(name):
 
 
 def test_heuristics_near_exact():
-    exact = make_solver("lp")
+    exact = make_solver("highs")
     greedy = make_solver("greedy")
     worst = 1.0
     for seed in range(10):
@@ -111,14 +111,6 @@ def test_heuristics_near_exact():
         )
         worst = max(worst, ratio)
     assert worst < 1.3
-
-
-def test_bnb_matches_lp_bound():
-    for seed in range(5):
-        problem = simple_problem(n=6, seed=seed, forbid=0.1)
-        lp = make_solver("lp").solve(problem).objective
-        bnb = make_solver("bnb").solve(problem).objective
-        assert bnb <= lp * (1.0 + 1e-9)
 
 
 def test_highs_near_optimal_small_instance():
@@ -141,8 +133,11 @@ def test_forbidden_columns_receive_nothing():
 
 
 def test_make_solver_unknown():
-    with pytest.raises(SolverError, match="unknown solver"):
-        make_solver("cplex")
+    for name in ("cplex", "lp", "bnb"):
+        with pytest.raises(
+            SolverError, match=r"unknown solver.*\['greedy', 'highs'\]"
+        ):
+            make_solver(name)
 
 
 def test_tiny_cost_scale_does_not_degenerate():
@@ -151,44 +146,10 @@ def test_tiny_cost_scale_does_not_degenerate():
     costs = 1e-9 * (0.5 + rng.random((6, 6)))
     loads = rng.integers(1000, 60_000, 6)
     problem = FStealProblem(costs, loads)
-    lp = make_solver("lp").solve(problem).objective
+    exact = make_solver("highs").solve(problem).objective
     greedy = make_solver("greedy").solve(problem).objective
-    # both balance: objectives within 2x of the per-worker average bound
+    # both balance: objectives within 3x of the per-worker average bound
     lower = (costs.min() * loads.sum()) / 6
-    assert lower < lp < 3 * lower
+    assert lower < exact < 3 * lower
     assert lower < greedy < 3 * lower
 
-
-# ----------------------------------------------------------------------
-# LP rounding: largest-remainder repair
-# ----------------------------------------------------------------------
-def test_round_lp_repays_large_over_assignment():
-    """Rounding must repay the full over-assignment of a row.
-
-    Regression test: the repair used to decrement at most one unit per
-    donor in a single pass, so a row whose floor exceeded its workload
-    by more than the number of donors stayed over-assigned and failed
-    feasibility validation downstream.
-    """
-    from repro.core.milp import _round_lp
-
-    costs = np.full((1, 2), 1e-9)
-    problem = FStealProblem(costs, np.array([1]))
-    # floor() keeps 2 + 2 = 4 units against a workload of 1: the repair
-    # needs 3 decrements but only 2 donor columns exist per pass.
-    fractional = np.array([[2.0, 2.0]])
-    assignment = _round_lp(problem, fractional)
-    assert assignment.sum() == 1
-    assert np.all(assignment >= 0)
-    problem.validate_assignment(assignment)
-
-
-def test_round_lp_preserves_exact_rows():
-    from repro.core.milp import _round_lp
-
-    costs = np.full((2, 3), 1e-9)
-    problem = FStealProblem(costs, np.array([6, 5]))
-    fractional = np.array([[2.0, 2.0, 2.0], [1.6, 1.7, 1.7]])
-    assignment = _round_lp(problem, fractional)
-    assert np.array_equal(assignment.sum(axis=1), problem.workloads)
-    problem.validate_assignment(assignment)

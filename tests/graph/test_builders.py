@@ -24,6 +24,11 @@ def test_from_edges_weighted():
     assert graph.weights.tolist() == [2.5, 1.5]
 
 
+def test_from_edge_arrays_rejects_nan_weights():
+    with pytest.raises(GraphError, match="weights"):
+        from_edge_arrays([0, 1], [1, 2], weights=[1.0, np.nan])
+
+
 def test_from_edges_mixed_weights_rejected():
     with pytest.raises(GraphError, match="mix"):
         from_edges([(0, 1), (1, 0, 2.0)])

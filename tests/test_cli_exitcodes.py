@@ -84,6 +84,17 @@ def test_bad_input_exits_2_with_one_line_error(
     assert "Traceback" not in err
 
 
+def test_removed_solver_name_exits_2(capsys):
+    # --solver choices come from repro.core.SOLVERS
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--graph", "TX", "--algorithm", "bfs",
+              "--solver", "lp"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err
+    assert "greedy" in err and "highs" in err
+
+
 def test_gate_exit_codes_stay_distinct(tmp_path):
     """runs diff reserves 1 for 'regressed', 2 for 'bad input'.
 
