@@ -21,9 +21,9 @@ from typing import Any
 import numpy as np
 
 from repro.algorithms.base import AlgorithmState, GASAlgorithm
+from repro.algorithms.minprop import relax_min
 from repro.errors import EngineError
 from repro.graph.csr import CSRGraph
-from repro.graph.gather import gather_edges
 from repro.runtime.frontier import Frontier
 
 __all__ = ["DeltaSteppingSSSP"]
@@ -100,24 +100,12 @@ class DeltaSteppingSSSP(GASAlgorithm):
         aux = state.aux
         frontier = state.frontier
         if frontier:
-            sources, destinations, weights = gather_edges(
-                graph, frontier.vertices
-            )
+            sources, destinations, weights = frontier.gather(graph)
             aux["pending"][frontier.vertices] = False
-            if destinations.size:
-                if weights is None:
-                    weights = np.ones(destinations.size)
-                cand = state.values[sources] + weights
-                scratch = aux.get("scratch")
-                if scratch is None:
-                    scratch = np.full(graph.num_vertices, np.inf)
-                    aux["scratch"] = scratch
-                touched = np.unique(destinations)
-                np.minimum.at(scratch, destinations, cand)
-                improved = touched[
-                    scratch[touched] < state.values[touched]
-                ]
-                state.values[improved] = scratch[improved]
-                scratch[touched] = np.inf
-                aux["pending"][improved] = True
+            if weights is None:
+                weights = np.ones(destinations.size)
+            improved = relax_min(
+                state, destinations, state.values[sources] + weights
+            )
+            aux["pending"][improved] = True
         return self._current_bucket_frontier(state)

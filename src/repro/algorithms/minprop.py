@@ -17,10 +17,45 @@ import numpy as np
 
 from repro.algorithms.base import AlgorithmState, GASAlgorithm
 from repro.graph.csr import CSRGraph
-from repro.graph.gather import gather_edge_positions
+from repro.graph.gather import distinct_vertices, gather_edge_positions
 from repro.runtime.frontier import Frontier
 
-__all__ = ["MinPropagation"]
+__all__ = ["MinPropagation", "relax_min", "scatter_min"]
+
+
+def scatter_min(
+    scratch: np.ndarray, destinations: np.ndarray, candidates: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Per-destination minimum of ``candidates``: ``(touched, minima)``.
+
+    ``touched`` is the sorted distinct destinations. ``scratch`` is an
+    ``inf``-filled vertex-sized buffer, restored before returning.
+    ``np.minimum.at`` is order-independent, so the minima are exact.
+    """
+    touched = distinct_vertices(destinations, scratch.size)
+    np.minimum.at(scratch, destinations, candidates)
+    minima = scratch[touched]
+    scratch[touched] = np.inf
+    return touched, minima
+
+
+def relax_min(
+    state: AlgorithmState, destinations: np.ndarray, candidates: np.ndarray
+) -> np.ndarray:
+    """Lower ``state.values`` to the per-destination candidate minima.
+
+    Returns the sorted vertices whose value improved. The ``inf``-filled
+    scratch buffer lives in ``state.aux`` across supersteps.
+    """
+    values = state.values
+    scratch = state.aux.get("scratch")
+    if scratch is None:
+        scratch = state.aux["scratch"] = np.full(values.size, np.inf)
+    touched, minima = scatter_min(scratch, destinations, candidates)
+    better = minima < values[touched]
+    improved = touched[better]
+    values[improved] = minima[better]
+    return improved
 
 
 class MinPropagation(GASAlgorithm):
@@ -46,35 +81,16 @@ class MinPropagation(GASAlgorithm):
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    def _scratch(self, graph: CSRGraph, state: AlgorithmState) -> np.ndarray:
-        scratch = state.aux.get("scratch")
-        if scratch is None:
-            scratch = np.full(graph.num_vertices, np.inf)
-            state.aux["scratch"] = scratch
-        return scratch
-
     def _relax(
         self,
-        graph: CSRGraph,
         state: AlgorithmState,
         sources: np.ndarray,
-        positions: np.ndarray,
+        destinations: np.ndarray,
+        weights: Optional[np.ndarray],
     ) -> Frontier:
         """Apply min-relaxation along the given edges; return activated."""
-        if sources.size == 0:
-            return Frontier.empty()
-        destinations = graph.indices[positions]
-        weights = (
-            graph.weights[positions] if graph.weights is not None else None
-        )
         cand = self.candidates(state.values, sources, weights)
-        scratch = self._scratch(graph, state)
-        touched = np.unique(destinations)
-        np.minimum.at(scratch, destinations, cand)
-        improved = touched[scratch[touched] < state.values[touched]]
-        state.values[improved] = scratch[improved]
-        scratch[touched] = np.inf  # reset for the next call
-        return Frontier.from_sorted(improved)
+        return Frontier.from_sorted(relax_min(state, destinations, cand))
 
     # ------------------------------------------------------------------
     def step(self, graph: CSRGraph, state: AlgorithmState) -> Frontier:
@@ -82,10 +98,10 @@ class MinPropagation(GASAlgorithm):
 
         The gather is memoized on the frontier, so when the engine's
         message-cost model already expanded this frontier the adjacency
-        walk is not repeated.
+        walk and the destination/weight lookups are not repeated.
         """
-        sources, positions = state.frontier.edge_positions(graph)
-        return self._relax(graph, state, sources, positions)
+        sources, destinations, weights = state.frontier.gather(graph)
+        return self._relax(state, sources, destinations, weights)
 
     def fragment_step(
         self,
@@ -104,23 +120,13 @@ class MinPropagation(GASAlgorithm):
         if edges is None:
             edges = gather_edge_positions(graph, vertices)
         sources, positions = edges
-        if sources.size == 0:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.float64),
-            )
-        destinations = graph.indices[positions]
         weights = (
             graph.weights[positions] if graph.weights is not None else None
         )
         cand = self.candidates(values, sources, weights)
         if scratch is None:
             scratch = np.full(graph.num_vertices, np.inf)
-        touched = np.unique(destinations)
-        np.minimum.at(scratch, destinations, cand)
-        mins = scratch[touched].copy()
-        scratch[touched] = np.inf  # restore for the next task
-        return touched, mins
+        return scatter_min(scratch, graph.indices[positions], cand)
 
     def merge_fragment_rows(
         self,
@@ -147,9 +153,13 @@ class MinPropagation(GASAlgorithm):
         allowed_mask: np.ndarray,
     ) -> Frontier:
         """Relax only edges selected by ``allowed_mask`` (CSR order)."""
-        sources, positions = frontier.edge_positions(graph)
+        sources, destinations, weights = frontier.gather(graph)
+        __, positions = frontier.edge_positions(graph)
         keep = allowed_mask[positions]
-        return self._relax(graph, state, sources[keep], positions[keep])
+        return self._relax(
+            state, sources[keep], destinations[keep],
+            None if weights is None else weights[keep],
+        )
 
     # ------------------------------------------------------------------
     def _initial_state(

@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro.backend.base import ExecutionBackend, ExecutionSession
+from repro.graph.gather import vertex_mark
 from repro.runtime.frontier import Frontier
 
 if TYPE_CHECKING:
@@ -48,7 +49,9 @@ class SerialSession(ExecutionSession):
         if not np.any(cross):
             return 0
         if aggregate:
-            return int(np.unique(destinations[cross]).size)
+            return int(np.count_nonzero(vertex_mark(
+                destinations[cross], self._graph.num_vertices
+            )))
         return int(np.count_nonzero(cross))
 
     def step(

@@ -26,7 +26,10 @@ parallelizes.
 Lifecycle: sessions release every shared block and worker on
 ``close()`` — called from the engine's ``finally`` — and a
 module-level ``atexit`` backstop in :mod:`repro.backend.shared` covers
-interpreter death, so CI can never leak ``/dev/shm`` segments.
+interpreter death, so CI can never leak ``/dev/shm`` segments. While
+the coordinator waits for results it polls worker exit codes once a
+second, so a crashed worker fails the run with its id and exit code
+instead of running out the startup or task timeout.
 """
 
 from __future__ import annotations
@@ -204,12 +207,28 @@ class SharedMemorySession(ExecutionSession):
                     timeout=min(remaining, 1.0)
                 )
             except queue_mod.Empty:
+                self._raise_if_worker_exited(phase)
                 continue
             if message[0] == "error":
                 raise EngineError(
                     f"shmem worker {message[1]} failed:\n{message[2]}"
                 )
             return message
+
+    def _raise_if_worker_exited(self, phase: str) -> None:
+        """Fail fast when a worker process has died.
+
+        Workers only exit on the close sentinel, so an exit code while
+        results are awaited is a crash. A dying process flushes its
+        queue writes before it exits, so the drained-queue check lets
+        a worker's own ``("error", ...)`` report win over this one.
+        """
+        for worker_id, process in enumerate(self._processes):
+            if process.exitcode is not None and self._result_queue.empty():
+                raise EngineError(
+                    f"shmem worker {worker_id} exited with code "
+                    f"{process.exitcode} during {phase}"
+                )
 
     # ------------------------------------------------------------------
     def begin_iteration(

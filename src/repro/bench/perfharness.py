@@ -733,19 +733,20 @@ def _obs_ledger_analytics():
 # side dispatches the superstep to its (already started) worker pool,
 # so serial-vs-shmem is the wall-clock question the backend exists to
 # answer; ``benchmarks/perf/test_backend.py`` turns the pair into a
-# speedup floor on multi-core hosts.
+# speedup floor on multi-core hosts. ``execute.minrelax`` times the
+# same superstep's serial execute layer alone (gather, distinct-
+# destination message count, min-relax), without split or dispatch.
 # ----------------------------------------------------------------------
-def _backend_fixture(backend: str, workers: int = 4):
-    """``(session, superstep)`` over the big-graph backend workload.
+def _rmat16_wcc(workers: int = 4):
+    """The big-graph execute workload: WCC's all-active first superstep.
 
-    The superstep callable resets the values each call and builds a
-    *fresh* frontier (so the per-frontier gather memo cannot hide the
-    adjacency walk), then drives one dispatch + message-count + step
-    round through the session — exactly the engine's per-iteration
-    session protocol. The caller owns closing the session.
+    Returns ``(graph, partition, algorithm, state, context, reset)``
+    with an identity fragment-to-worker map in ``context``;
+    ``reset()`` restores the initial values and installs a *fresh*
+    all-active frontier (so the per-frontier gather memo cannot hide
+    the adjacency walk) and returns it.
     """
     from repro.algorithms import make_algorithm
-    from repro.backend import make_backend
     from repro.graph.builders import symmetrize
     from repro.graph.generators import rmat
     from repro.partition.partitioners import make_partition
@@ -767,6 +768,28 @@ def _backend_fixture(backend: str, workers: int = 4):
         algorithm_name=algorithm.name,
         extras={"aggregate_messages": True},
     )
+
+    def reset():
+        state.values[:] = init_values
+        state.frontier = Frontier.from_sorted(active)
+        return state.frontier
+
+    return graph, partition, algorithm, state, context, reset
+
+
+def _backend_fixture(backend: str, workers: int = 4):
+    """``(session, superstep)`` over the big-graph backend workload.
+
+    Each superstep call resets the workload (:func:`_rmat16_wcc`),
+    then drives one dispatch + message-count + step round through the
+    session — exactly the engine's per-iteration session protocol. The
+    caller owns closing the session.
+    """
+    from repro.backend import make_backend
+
+    graph, partition, algorithm, state, context, reset = _rmat16_wcc(
+        workers
+    )
     session = make_backend(backend).open(
         graph, partition, algorithm, state, context
     )
@@ -774,10 +797,8 @@ def _backend_fixture(backend: str, workers: int = 4):
 
     def superstep():
         iteration = next(counter)
-        state.values[:] = init_values
         state.iteration = iteration
-        frontier = Frontier.from_sorted(active)
-        state.frontier = frontier
+        frontier = reset()
         fragments = frontier.split_by_owner(partition.owner, workers)
         session.begin_iteration(iteration, fragments, context)
         messages = session.message_count(iteration, frontier, True,
@@ -787,6 +808,25 @@ def _backend_fixture(backend: str, workers: int = 4):
         ).size
 
     return session, superstep
+
+
+@bench_case("execute.minrelax.rmat16.4w", graph="rmat16x12-sym",
+            workers=4,
+            unit="seconds per aggregate message_count + min-relax step")
+def _execute_minrelax():
+    """The serial execute layer alone: gather, distinct-destination
+    message count, and the min-relax step, with no dispatch or split."""
+    from repro.backend.serial import SerialSession
+
+    graph, partition, algorithm, state, context, reset = _rmat16_wcc()
+    session = SerialSession(graph, partition)
+
+    def superstep():
+        frontier = reset()
+        messages = session.message_count(0, frontier, True, context)
+        return messages, session.step(0, algorithm, graph, state).size
+
+    return superstep
 
 
 #: Sessions opened by bench-case setups, kept alive for the timed

@@ -3,6 +3,8 @@
 Given a frontier (vertex subset), produce the flattened arrays of all
 their out-edges in one shot, without Python-level per-vertex loops.
 Every superstep of every engine funnels through :func:`gather_edges`.
+The execute layer then reduces the gathered destinations to their
+distinct set with :func:`vertex_mark` / :func:`distinct_vertices`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 
-__all__ = ["gather_edges", "gather_edge_positions", "expand_indices"]
+__all__ = ["gather_edges", "gather_edge_positions", "expand_indices",
+           "vertex_mark", "distinct_vertices"]
 
 
 def expand_indices(
@@ -80,3 +83,24 @@ def gather_edges(
     if graph.weights is not None:
         weights = graph.weights[positions]
     return sources, destinations, weights
+
+
+def vertex_mark(vertices: np.ndarray, num_vertices: int) -> np.ndarray:
+    """Boolean mark over ``[0, num_vertices)`` of the given vertex ids.
+
+    The destination bitmap of a gathered edge list: its
+    ``np.count_nonzero`` is the number of distinct destinations. One
+    linear scatter over a vertex-sized array, where ``np.unique`` sorts
+    the (edge-sized, heavily duplicated) input.
+    """
+    mark = np.zeros(num_vertices, dtype=bool)
+    mark[vertices] = True
+    return mark
+
+
+def distinct_vertices(vertices: np.ndarray, num_vertices: int) -> np.ndarray:
+    """Sorted distinct entries of ``vertices`` (ids in ``[0, num_vertices)``).
+
+    Equals ``np.unique(vertices)`` as an ``int64`` array.
+    """
+    return np.flatnonzero(vertex_mark(vertices, num_vertices))

@@ -89,3 +89,55 @@ def test_session_close_is_idempotent(workload):
     assert no_backend_workers()
     # values were copied out of the dying mapping and stay usable
     assert state.values[0] == 0.0
+
+
+def test_killed_worker_fails_fast_and_releases_blocks(workload):
+    """A worker killed mid-session surfaces as EngineError in ~1 s.
+
+    The coordinator polls worker exit codes while it waits for results,
+    so the error names the dead worker and its exit code instead of
+    waiting out the task timeout.
+    """
+    import time
+
+    import numpy as np
+
+    from repro.algorithms import make_algorithm
+    from repro.backend import make_backend
+    from repro.errors import EngineError
+    from repro.runtime.frontier import Frontier
+    from repro.runtime.scheduler import RunContext
+
+    graph, partition = workload
+    algorithm = make_algorithm("bfs")
+    state = algorithm.init(graph, source=0)
+    context = RunContext(
+        graph=graph, partition=partition, timing=None,
+        fragment_home=np.arange(2, dtype=np.int64),
+        fragment_worker=np.arange(2, dtype=np.int64),
+        algorithm_name="bfs",
+    )
+    session = make_backend("shmem").open(
+        graph, partition, algorithm, state, context
+    )
+    try:
+        victim = next(
+            p for p in multiprocessing.active_children()
+            if p.name == "repro-shmem-1"
+        )
+        victim.kill()
+        victim.join(timeout=5.0)
+        # every fragment gets a task, so the dead worker owes a result
+        frontier = Frontier.full(graph.num_vertices)
+        session.begin_iteration(
+            1, frontier.split_by_owner(partition.owner, 2), context
+        )
+        started = time.perf_counter()
+        with pytest.raises(EngineError,
+                           match=r"worker 1 exited with code -9"):
+            session.message_count(1, frontier, True, context)
+        assert time.perf_counter() - started < 2.5
+    finally:
+        session.close(state)
+    assert live_block_names() == ()
+    assert no_backend_workers()

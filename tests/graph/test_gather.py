@@ -1,12 +1,15 @@
 """Unit tests for vectorized adjacency expansion."""
 
 import numpy as np
+import pytest
 
 from repro.graph import rmat, with_random_weights
 from repro.graph.gather import (
+    distinct_vertices,
     expand_indices,
     gather_edge_positions,
     gather_edges,
+    vertex_mark,
 )
 
 
@@ -78,3 +81,26 @@ def test_gather_edge_positions_consistency(skewed_graph):
     )
     degrees = skewed_graph.out_degrees(frontier)
     assert np.array_equal(sources, np.repeat(frontier, degrees))
+
+
+@pytest.mark.parametrize("case", [
+    "empty", "all-duplicate", "endpoints", "dense", "sparse",
+])
+def test_distinct_vertices_matches_unique(case):
+    num_vertices = 1000
+    rng = np.random.default_rng(7)
+    vertices = {
+        "empty": np.empty(0, dtype=np.int64),
+        "all-duplicate": np.full(50, 17, dtype=np.int64),
+        "endpoints": np.array([num_vertices - 1, 0, 5, 0,
+                               num_vertices - 1]),
+        "dense": rng.integers(0, num_vertices, 20 * num_vertices),
+        "sparse": rng.integers(0, num_vertices, 12),
+    }[case]
+    expected = np.unique(vertices)
+    distinct = distinct_vertices(vertices, num_vertices)
+    assert distinct.dtype == np.int64
+    assert np.array_equal(distinct, expected)
+    mark = vertex_mark(vertices, num_vertices)
+    assert mark.shape == (num_vertices,)
+    assert np.count_nonzero(mark) == expected.size
