@@ -47,7 +47,7 @@ def main() -> None:
     graph = repro.datasets.load("TX")
     source = int(np.argmax(graph.out_degrees()))
     # one silent warm-up run so the overhead measurement reflects
-    # steady state (cost-model training and cache fills land here,
+    # steady state (cost-model load and cache fills land here,
     # not on the tracer's tab)
     repro.run(graph, "bfs", num_gpus=4, source=source)
     metrics = MetricsRegistry()

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import multiprocessing
 import queue as queue_mod
+import signal
 import time
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
@@ -55,6 +56,17 @@ if TYPE_CHECKING:
     from repro.runtime.scheduler import RunContext
 
 __all__ = ["SharedMemoryBackend", "SharedMemorySession"]
+
+
+def _signal_suffix(exitcode: int) -> str:
+    """`` (SIGKILL)`` for a process killed by a signal, else ``""``.
+
+    ``multiprocessing`` reports death by signal N as exit code ``-N``.
+    """
+    try:
+        return f" ({signal.Signals(-exitcode).name})"
+    except ValueError:  # a normal exit, or an unknown signal number
+        return ""
 
 
 class SharedMemorySession(ExecutionSession):
@@ -224,10 +236,11 @@ class SharedMemorySession(ExecutionSession):
         a worker's own ``("error", ...)`` report win over this one.
         """
         for worker_id, process in enumerate(self._processes):
-            if process.exitcode is not None and self._result_queue.empty():
+            code = process.exitcode
+            if code is not None and self._result_queue.empty():
                 raise EngineError(
                     f"shmem worker {worker_id} exited with code "
-                    f"{process.exitcode} during {phase}"
+                    f"{code}{_signal_suffix(code)} during {phase}"
                 )
 
     # ------------------------------------------------------------------

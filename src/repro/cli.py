@@ -480,8 +480,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     metrics = MetricsRegistry()
     if args.cost_model == "default":
         # warm the cached model inside the trace so a cold run shows
-        # its dominant host cost (corpus replay + SGD fit) as spans
-        pretrained_default(tracer=tracer)
+        # the committed artifact's load as its own span
+        with tracer.span("costmodel.load", cat="costmodel"):
+            pretrained_default()
     result = _run_one(args, args.engine, tracer=tracer, metrics=metrics)
     tracer.close()
     run_id = _maybe_record(args, args.engine, result, metrics)

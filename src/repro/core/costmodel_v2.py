@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -55,6 +56,7 @@ from repro.core.costmodel import (
     rmsre,
 )
 from repro.errors import CostModelError
+from repro.graph.features import FEATURE_NAMES
 from repro.obs.ledger import Ledger
 from repro.obs.tracer import NULL_TRACER, Tracer
 
@@ -69,6 +71,7 @@ __all__ = [
     "fit_candidates",
     "model_to_params",
     "model_from_params",
+    "model_from_artifact",
     "save_artifact",
     "load_artifact",
     "artifact_label",
@@ -422,6 +425,42 @@ def _require(params: dict, *keys: str) -> list:
     return [params[key] for key in keys]
 
 
+def _array(name: str, value, ndim: int, integer: bool = False,
+           size: Optional[int] = None) -> np.ndarray:
+    """One parameter as a finite numeric array of the expected rank.
+
+    Raises :class:`CostModelError` naming the field for non-numeric
+    entries (strings, booleans, ragged lists), the wrong rank or
+    length, and NaN or infinite values.
+    """
+    kinds = "iu" if integer else "iuf"
+    try:
+        raw = np.asarray(value)
+    except ValueError:  # ragged nesting
+        raw = None
+    if raw is None or (raw.size and raw.dtype.kind not in kinds):
+        kind = "integers" if integer else "numbers"
+        raise CostModelError(
+            f"cost-model artifact parameter {name!r} must hold {kind}"
+        )
+    array = raw.astype(np.int64 if integer else np.float64)
+    if array.ndim != ndim:
+        raise CostModelError(
+            f"cost-model artifact parameter {name!r} must be "
+            f"{ndim}-D, got shape {array.shape}"
+        )
+    if size is not None and len(array) != size:
+        raise CostModelError(
+            f"cost-model artifact parameter {name!r} has "
+            f"{len(array)} entries, expected {size}"
+        )
+    if not np.all(np.isfinite(array)):
+        raise CostModelError(
+            f"cost-model artifact parameter {name!r} is not finite"
+        )
+    return array
+
+
 def model_to_params(model: CostModel) -> Tuple[str, dict]:
     """``(family, parameters)`` of a fitted model, JSON-ready."""
     if isinstance(model, PolynomialSGDModel):  # LinearSGD subclasses it
@@ -466,41 +505,75 @@ def model_to_params(model: CostModel) -> Tuple[str, dict]:
 
 
 def model_from_params(family: str, params: dict) -> CostModel:
-    """Rebuild a fitted model from artifact parameters."""
+    """Rebuild a fitted model from artifact parameters.
+
+    Every field is checked for type, shape and finiteness first, so a
+    malformed artifact fails here with a :class:`CostModelError`
+    naming the field instead of mispredicting later.
+    """
+    features = len(FEATURE_NAMES)
     if family in ("polynomial", "linear"):
         (degree, weights, scaler_mean, scaler_std, design_mean,
          design_std) = _require(
             params, "degree", "weights", "scaler_mean", "scaler_std",
             "design_mean", "design_std",
         )
-        model = (LinearSGDModel() if int(degree) == 1
-                 else PolynomialSGDModel(degree=int(degree)))
-        model._weights = np.asarray(weights, dtype=np.float64)
-        model._scaler.mean = np.asarray(scaler_mean, dtype=np.float64)
-        model._scaler.std = np.asarray(scaler_std, dtype=np.float64)
-        model._design_scaler.mean = np.asarray(
-            design_mean, dtype=np.float64
-        )
-        model._design_scaler.std = np.asarray(
-            design_std, dtype=np.float64
-        )
+        degree = int(_array("degree", degree, 0, integer=True))
+        if degree < 1:
+            raise CostModelError(
+                f"cost-model artifact parameter 'degree' must be >= 1, "
+                f"got {degree}"
+            )
+        terms = math.comb(features + degree, degree)
+        model = (LinearSGDModel() if degree == 1
+                 else PolynomialSGDModel(degree=degree))
+        model._weights = _array("weights", weights, 1, size=terms)
+        model._scaler.mean = _array("scaler_mean", scaler_mean, 1,
+                                    size=features)
+        model._scaler.std = _array("scaler_std", scaler_std, 1,
+                                   size=features)
+        model._design_scaler.mean = _array("design_mean", design_mean, 1,
+                                           size=terms)
+        model._design_scaler.std = _array("design_std", design_std, 1,
+                                          size=terms)
         return model
     if family == "tree":
         feature, value, left, right = _require(
             params, "node_feature", "node_value", "node_left",
             "node_right",
         )
+        feature = _array("node_feature", feature, 1, integer=True)
+        nodes = len(feature)
+        if nodes == 0:
+            raise CostModelError(
+                "cost-model artifact parameter 'node_feature' is empty"
+            )
+        value = _array("node_value", value, 1, size=nodes)
+        left = _array("node_left", left, 1, integer=True, size=nodes)
+        right = _array("node_right", right, 1, integer=True, size=nodes)
+        if np.any((feature < -1) | (feature >= features)):
+            raise CostModelError(
+                "cost-model artifact parameter 'node_feature' holds a "
+                f"feature index outside [-1, {features})"
+            )
+        # children follow their parent (the fit emits nodes in
+        # preorder), which also rules out cycles in the traversal
+        index = np.arange(nodes)
+        internal = feature >= 0
+        for name, child in (("node_left", left), ("node_right", right)):
+            if np.any(internal & ((child <= index) | (child >= nodes))):
+                raise CostModelError(
+                    f"cost-model artifact parameter {name!r} holds a "
+                    f"child index outside (parent, {nodes})"
+                )
         model = DecisionTreeModel()
-        model._node_feature = np.asarray(feature, dtype=np.int64)
-        model._node_value = np.asarray(value, dtype=np.float64)
-        model._node_left = np.asarray(left, dtype=np.int64)
-        model._node_right = np.asarray(right, dtype=np.int64)
+        model._node_feature = feature
+        model._node_value = value
+        model._node_left = left
+        model._node_right = right
         model._nodes = [
             (int(f), float(v), int(lo), int(hi))
-            for f, v, lo, hi in zip(
-                model._node_feature, model._node_value,
-                model._node_left, model._node_right,
-            )
+            for f, v, lo, hi in zip(feature, value, left, right)
         ]
         return model
     if family == "svr":
@@ -508,16 +581,26 @@ def model_from_params(family: str, params: dict) -> CostModel:
             params, "support", "coef", "gamma", "scaler_mean",
             "scaler_std",
         )
+        support = _array("support", support, 2)
+        if support.shape[1] != features:
+            raise CostModelError(
+                "cost-model artifact parameter 'support' has "
+                f"{support.shape[1]} columns, expected {features}"
+            )
         model = KernelRidgeModel()
-        model._support = np.asarray(support, dtype=np.float64)
-        model._coef = np.asarray(coef, dtype=np.float64)
-        model._gamma = float(gamma)
-        model._scaler.mean = np.asarray(scaler_mean, dtype=np.float64)
-        model._scaler.std = np.asarray(scaler_std, dtype=np.float64)
+        model._support = support
+        model._coef = _array("coef", coef, 1, size=len(support))
+        model._gamma = float(_array("gamma", gamma, 0))
+        model._scaler.mean = _array("scaler_mean", scaler_mean, 1,
+                                    size=features)
+        model._scaler.std = _array("scaler_std", scaler_std, 1,
+                                   size=features)
         return model
     if family == "uniform":
         (cost_seconds,) = _require(params, "cost_seconds")
-        return UniformCostModel(cost_seconds=float(cost_seconds))
+        return UniformCostModel(
+            cost_seconds=float(_array("cost_seconds", cost_seconds, 0))
+        )
     raise CostModelError(
         f"unsupported cost-model artifact family {family!r}"
     )
@@ -565,6 +648,36 @@ def save_artifact(model: CostModel, path,
     return artifact
 
 
+def model_from_artifact(artifact, source) -> CostModel:
+    """Check a parsed ``repro-costmodel/1`` payload and rebuild its model.
+
+    Verifies the schema, the parameters object and the digest, then
+    :func:`model_from_params`. ``source`` names the payload in errors.
+    """
+    if not isinstance(artifact, dict) or \
+            artifact.get("schema") != COSTMODEL_SCHEMA:
+        raise CostModelError(
+            f"{source}: unsupported cost-model artifact schema "
+            f"{artifact.get('schema') if isinstance(artifact, dict) else None!r} "
+            f"(expected {COSTMODEL_SCHEMA!r})"
+        )
+    family = artifact.get("family")
+    params = artifact.get("parameters")
+    if not isinstance(params, dict):
+        raise CostModelError(
+            f"{source}: cost-model artifact has no parameters object"
+        )
+    digest = artifact.get("digest")
+    expected = _params_digest(family, params)
+    if digest != expected:
+        raise CostModelError(
+            f"{source}: artifact digest mismatch (stored {digest!r}, "
+            f"parameters hash to {expected!r}) — corrupted or "
+            "hand-edited artifact"
+        )
+    return model_from_params(family, params)
+
+
 def load_artifact(path) -> CostModel:
     """Load a ``repro-costmodel/1`` artifact into a usable model.
 
@@ -579,32 +692,12 @@ def load_artifact(path) -> CostModel:
         raise CostModelError(
             f"cannot read cost-model artifact {path}: {exc}"
         ) from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or not text at all
         raise CostModelError(
-            f"{path}: corrupt cost-model artifact ({exc.msg})"
+            f"{path}: corrupt cost-model artifact "
+            f"({getattr(exc, 'msg', exc)})"
         ) from exc
-    if not isinstance(artifact, dict) or \
-            artifact.get("schema") != COSTMODEL_SCHEMA:
-        raise CostModelError(
-            f"{path}: unsupported cost-model artifact schema "
-            f"{artifact.get('schema') if isinstance(artifact, dict) else None!r} "
-            f"(expected {COSTMODEL_SCHEMA!r})"
-        )
-    family = artifact.get("family")
-    params = artifact.get("parameters")
-    if not isinstance(params, dict):
-        raise CostModelError(
-            f"{path}: cost-model artifact has no parameters object"
-        )
-    digest = artifact.get("digest")
-    expected = _params_digest(family, params)
-    if digest != expected:
-        raise CostModelError(
-            f"{path}: artifact digest mismatch (stored {digest!r}, "
-            f"parameters hash to {expected!r}) — corrupted or "
-            "hand-edited artifact"
-        )
-    model = model_from_params(family, params)
+    model = model_from_artifact(artifact, path)
     model.artifact = artifact
     model.artifact_label = artifact_label(artifact)
     return model

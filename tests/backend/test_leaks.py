@@ -133,8 +133,9 @@ def test_killed_worker_fails_fast_and_releases_blocks(workload):
             1, frontier.split_by_owner(partition.owner, 2), context
         )
         started = time.perf_counter()
-        with pytest.raises(EngineError,
-                           match=r"worker 1 exited with code -9"):
+        with pytest.raises(
+            EngineError, match=r"worker 1 exited with code -9 \(SIGKILL\)"
+        ):
             session.message_count(1, frontier, True, context)
         assert time.perf_counter() - started < 2.5
     finally:

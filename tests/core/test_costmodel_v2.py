@@ -15,6 +15,7 @@ The contracts under test:
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -163,6 +164,87 @@ def test_unfitted_model_cannot_serialize():
 def test_unknown_family_cannot_deserialize():
     with pytest.raises(CostModelError, match="family"):
         model_from_params("perceptron", {})
+
+
+def _set(key, value):
+    return lambda params: params.__setitem__(key, value)
+
+
+def _edit(key, change):
+    return lambda params: params.__setitem__(key, change(params[key]))
+
+
+# each entry: (family, corruption of valid parameters, error pattern)
+MALFORMED = [
+    ("polynomial", _edit("weights", lambda w: w[:207]),
+     "'weights' has 207 entries, expected 210"),
+    ("polynomial", _edit("weights", lambda w: ["x"] * len(w)),
+     "'weights' must hold numbers"),
+    ("polynomial", _edit("weights", lambda w: [w]),
+     "'weights' must be 1-D"),
+    ("polynomial", _edit("scaler_std", lambda s: [float("nan")] + s[1:]),
+     "'scaler_std' is not finite"),
+    ("polynomial", _edit("scaler_mean", lambda m: m[:5]),
+     "'scaler_mean' has 5 entries, expected 6"),
+    ("polynomial", _edit("design_std", lambda s: s + [1.0]),
+     "'design_std' has 211 entries, expected 210"),
+    ("polynomial", _edit("design_mean", lambda m: [True] * len(m)),
+     "'design_mean' must hold numbers"),
+    ("polynomial", _set("degree", "4"), "'degree' must hold integers"),
+    ("polynomial", _set("degree", [4]), "'degree' must be 0-D"),
+    ("polynomial", _set("degree", 0), "'degree' must be >= 1"),
+    ("polynomial", _set("weights", None), "'weights' must hold numbers"),
+    ("linear", _edit("weights", lambda w: w + [0.0]),
+     "'weights' has 8 entries, expected 7"),
+    ("tree", _edit("node_value", lambda v: v[:-1]), "'node_value' has"),
+    ("tree", _edit("node_left", lambda c: c[:-1]), "'node_left' has"),
+    ("tree", _edit("node_feature", lambda f: [6] + f[1:]),
+     "'node_feature' holds a feature index"),
+    ("tree", _edit("node_feature", lambda f: [0.5] + f[1:]),
+     "'node_feature' must hold integers"),
+    ("tree", _edit("node_left", lambda c: [len(c)] + c[1:]),
+     "'node_left' holds a child index"),
+    ("tree", _edit("node_right", lambda c: [0] + c[1:]),
+     "'node_right' holds a child index"),
+    ("tree", _set("node_feature", []), "'node_feature' is empty"),
+    ("svr", _edit("support", lambda s: s[0]), "'support' must be 2-D"),
+    ("svr", _edit("support", lambda s: [row[:5] for row in s]),
+     "'support' has 5 columns, expected 6"),
+    ("svr", _edit("support", lambda s: [s[0], s[1][:5]]),
+     "'support' must hold numbers"),
+    ("svr", _edit("coef", lambda c: c[:-1]), "'coef' has"),
+    ("svr", _set("gamma", float("inf")), "'gamma' is not finite"),
+    ("svr", _edit("scaler_std", lambda s: s[:3]), "'scaler_std' has 3"),
+    ("uniform", _set("cost_seconds", "1e-9"),
+     "'cost_seconds' must hold numbers"),
+]
+
+
+@pytest.mark.parametrize(
+    "family,corrupt,message", MALFORMED,
+    ids=[f"{family}-{message.split()[0].strip(chr(39))}-{i}"
+         for i, (family, __, message) in enumerate(MALFORMED)],
+)
+def test_malformed_artifact_parameters_are_rejected(family, corrupt,
+                                                    message, training):
+    """Contract: a bad field fails at load with a CostModelError
+    naming it, never a numpy error or a NaN prediction later."""
+    if family == "tree":
+        # a split root and two leaves (the tiny training set fits a
+        # single leaf, which has no child links to corrupt)
+        params = {"node_feature": [0, -1, -1],
+                  "node_value": [0.5, 1.0, 2.0],
+                  "node_left": [1, -1, -1], "node_right": [2, -1, -1]}
+    elif family == "uniform":
+        __, params = model_to_params(UniformCostModel())
+    else:
+        model = MODEL_FAMILIES[family]()
+        model.fit(*training)
+        __, params = model_to_params(model)
+    model_from_params(family, json.loads(json.dumps(params)))
+    corrupt(params)
+    with pytest.raises(CostModelError, match=re.escape(message)):
+        model_from_params(family, params)
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,14 @@
-"""Round-trip tests for binary persistence (graphs, partitions, models)."""
+"""Round-trip tests for persistence (graphs, partitions, cost models)."""
 
 import numpy as np
 import pytest
 
-from repro.core import PolynomialSGDModel, collect_training_data
+from repro.core import (
+    PolynomialSGDModel,
+    collect_training_data,
+    load_artifact,
+    save_artifact,
+)
 from repro.errors import CostModelError, GraphError, PartitionError
 from repro.graph import rmat, road_network, with_random_weights
 from repro.graph.io_npz import (
@@ -72,38 +77,41 @@ def small_training_set():
                                  num_fragments=4)
 
 
-def test_cost_model_roundtrip(tmp_path, small_training_set):
-    features, costs = small_training_set
+@pytest.fixture(scope="module")
+def small_model(small_training_set):
     model = PolynomialSGDModel(degree=2, epochs=30)
-    model.fit(features, costs)
-    path = tmp_path / "model.npz"
-    model.save(path)
-    loaded = PolynomialSGDModel.load(path)
-    assert np.allclose(loaded.predict(features), model.predict(features))
+    model.fit(*small_training_set)
+    return model
+
+
+def test_cost_model_roundtrip(tmp_path, small_training_set, small_model):
+    features, __ = small_training_set
+    path = tmp_path / "model.json"
+    save_artifact(small_model, path)
+    loaded = load_artifact(path)
+    assert np.array_equal(loaded.predict(features),
+                          small_model.predict(features))
     assert loaded._degree == 2
 
 
 def test_cost_model_save_requires_fit(tmp_path):
     with pytest.raises(CostModelError, match="unfitted"):
-        PolynomialSGDModel().save(tmp_path / "x.npz")
+        save_artifact(PolynomialSGDModel(), tmp_path / "x.json")
 
 
 def test_cost_model_bad_archive(tmp_path):
     path = tmp_path / "bogus.npz"
     np.savez(path, junk=np.zeros(3))
-    with pytest.raises(CostModelError, match="unsupported"):
-        PolynomialSGDModel.load(path)
+    with pytest.raises(CostModelError, match="corrupt"):
+        load_artifact(path)
 
 
-def test_loaded_model_usable_in_engine(tmp_path, small_training_set):
+def test_loaded_model_usable_in_engine(tmp_path, small_model):
     import repro
 
-    features, costs = small_training_set
-    model = PolynomialSGDModel(degree=2, epochs=30)
-    model.fit(features, costs)
-    path = tmp_path / "model.npz"
-    model.save(path)
-    loaded = PolynomialSGDModel.load(path)
+    path = tmp_path / "model.json"
+    save_artifact(small_model, path)
+    loaded = load_artifact(path)
     graph = with_random_weights(rmat(9, 6, seed=3), seed=4)
     result = repro.run(
         graph, "sssp", num_gpus=4, source=0,
